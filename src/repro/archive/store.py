@@ -27,19 +27,21 @@ self-describing header; each following line is one design point::
 
 Rows are deduplicated by the canonical values key (first writer wins — an
 archive row is immutable once recorded, since two evaluators sharing a
-fingerprint return identical metrics), and a torn trailing line from a
-killed daemon is skipped on load. One lock guards the in-memory slots and
-file appends, so every campaign stack of a daemon shares one instance.
+fingerprint return identical metrics). Files are
+:class:`~repro.core.appendlog.AppendLog` logs, so a torn row from a killed
+daemon is skipped on load and fenced off before the next append. One lock
+guards the in-memory slots and file appends, so every campaign stack of a
+daemon shares one instance.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence, TYPE_CHECKING
 
+from ..core.appendlog import AppendLog, read_header, scan
 from ..core.errors import EvaluationError, InfeasibleDesignError, NautilusError
 from ..core.params import values_key
 
@@ -54,6 +56,9 @@ __all__ = ["DesignArchive", "ARCHIVE_SCHEMA_VERSION"]
 ARCHIVE_SCHEMA_VERSION = 1
 
 _KIND = "nautilus-archive"
+
+#: Keys every archive row carries; rows without them are skipped.
+_ROW_KEYS = ("values", "metrics")
 
 
 class _Slot:
@@ -115,40 +120,30 @@ class DesignArchive:
             return slot
         slot = _Slot(tuple(params) if params is not None else None)
         path = self._path(space_name, fingerprint)
-        if path.exists():
-            with open(path, "r", encoding="utf-8") as fh:
-                header: dict | None = None
-                for line in fh:
-                    try:
-                        payload = json.loads(line)
-                    except ValueError:
-                        continue  # torn trailing line from a killed writer
-                    if header is None:
-                        header = payload
-                        if (
-                            header.get("kind") != _KIND
-                            or header.get("space") != space_name
-                            or header.get("fingerprint") != fingerprint
-                        ):
-                            raise NautilusError(
-                                f"archive file {path} does not match space "
-                                f"{space_name!r} / fingerprint {fingerprint!r}"
-                            )
-                        file_params = tuple(header.get("params", ()))
-                        if slot.params is not None and file_params != slot.params:
-                            raise NautilusError(
-                                f"archive file {path} indexes parameters "
-                                f"{file_params!r}, not {slot.params!r}"
-                            )
-                        slot.params = file_params
-                        continue
-                    try:
-                        row_key = values_key(payload["values"])
-                        payload["metrics"]
-                    except (KeyError, TypeError):
-                        continue  # corrupt row; never poison the index
-                    if row_key not in slot.rows:  # first writer wins
-                        slot.rows[row_key] = payload
+        header, rows, _ = scan(path, header=True, require=_ROW_KEYS)
+        if header is not None:
+            if (
+                header.get("kind") != _KIND
+                or header.get("space") != space_name
+                or header.get("fingerprint") != fingerprint
+            ):
+                raise NautilusError(
+                    f"archive file {path} does not match space "
+                    f"{space_name!r} / fingerprint {fingerprint!r}"
+                )
+            file_params = tuple(header.get("params", ()))
+            if slot.params is not None and file_params != slot.params:
+                raise NautilusError(
+                    f"archive file {path} indexes parameters "
+                    f"{file_params!r}, not {slot.params!r}"
+                )
+            slot.params = file_params
+        for row in rows:
+            try:
+                row_key = values_key(row["values"])
+            except TypeError:
+                continue  # corrupt row; never poison the index
+            slot.rows.setdefault(row_key, row)  # first writer wins
         self._slots[key] = slot
         return slot
 
@@ -164,47 +159,26 @@ class DesignArchive:
         slot = self._load(space_name, fingerprint, params)
         if slot.params is None:
             slot.params = tuple(params)
-        written = 0
-        fh = None
-        try:
-            for values, metrics in entries:
-                row_key = values_key(values)
-                if row_key in slot.rows:
-                    continue
-                if fh is None:
-                    path = self._path(space_name, fingerprint)
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    fresh = not path.exists()
-                    fh = open(path, "a", encoding="utf-8")
-                    if fresh:
-                        fh.write(
-                            json.dumps(
-                                {
-                                    "kind": _KIND,
-                                    "schema": ARCHIVE_SCHEMA_VERSION,
-                                    "space": space_name,
-                                    "params": list(params),
-                                    "fingerprint": fingerprint,
-                                }
-                            )
-                            + "\n"
-                        )
-                row = {
-                    "values": list(row_key),
-                    "metrics": metrics,
-                    "campaign": campaign,
-                }
-                slot.rows[row_key] = row
-                fh.write(json.dumps(row) + "\n")
-                written += 1
-            if fh is not None:
-                fh.flush()
-        finally:
-            if fh is not None:
-                fh.close()
-        if written and self._rows_counter is not None:
-            self._rows_counter.inc(written)
-        return written
+        fresh = []
+        for values, metrics in entries:
+            row_key = values_key(values)
+            if row_key in slot.rows:
+                continue
+            row = {"values": list(row_key), "metrics": metrics, "campaign": campaign}
+            slot.rows[row_key] = row
+            fresh.append(row)
+        header = {
+            "kind": _KIND,
+            "schema": ARCHIVE_SCHEMA_VERSION,
+            "space": space_name,
+            "params": list(params),
+            "fingerprint": fingerprint,
+        }
+        with AppendLog(self._path(space_name, fingerprint), header) as log:
+            log.append(fresh)
+        if fresh and self._rows_counter is not None:
+            self._rows_counter.inc(len(fresh))
+        return len(fresh)
 
     # -- recording --------------------------------------------------------------
 
@@ -259,23 +233,8 @@ class DesignArchive:
         paths = sorted(cache_root.glob("*.jsonl")) if cache_root.exists() else []
         with self._lock:
             for path in paths:
-                header: dict | None = None
-                entries: list[tuple[list, dict | None]] = []
-                with open(path, "r", encoding="utf-8") as fh:
-                    for line in fh:
-                        try:
-                            payload = json.loads(line)
-                        except ValueError:
-                            continue
-                        if header is None:
-                            header = payload
-                            continue
-                        try:
-                            values = payload["values"]
-                            metrics = payload["metrics"]
-                        except (KeyError, TypeError):
-                            continue
-                        entries.append((values, metrics))
+                header, rows, _ = scan(path, header=True, require=_ROW_KEYS)
+                entries = [(row["values"], row["metrics"]) for row in rows]
                 if (
                     header is None
                     or "kind" in header  # an archive file, not a cache file
@@ -537,12 +496,8 @@ class DesignArchive:
             campaigns: dict[str, int] = {}
             rows = feasible = infeasible = 0
             for path in paths:
-                try:
-                    with open(path, "r", encoding="utf-8") as fh:
-                        header = json.loads(fh.readline())
-                except (OSError, ValueError):
-                    continue
-                if not isinstance(header, dict) or header.get("kind") != _KIND:
+                header = read_header(path)
+                if header is None or header.get("kind") != _KIND:
                     continue
                 slot = self._load(header["space"], header["fingerprint"])
                 files += 1

@@ -83,7 +83,6 @@ from .evalstack import (
 )
 from .evaluator import (
     CallableEvaluator,
-    CountingEvaluator,
     DatasetEvaluator,
     Evaluator,
 )
@@ -119,7 +118,6 @@ from .checkpoint import (
     CheckpointedSearch,
     SearchCheckpoint,
 )
-from .parallel import BatchEvaluator, ParallelEvaluator, evaluate_batch
 from .pareto import (
     ParetoIndividual,
     ParetoResult,
@@ -187,7 +185,6 @@ __all__ = [
     "minimize",
     "Evaluator",
     "CallableEvaluator",
-    "CountingEvaluator",
     "DatasetEvaluator",
     # evaluation stack
     "EvalStats",
@@ -224,10 +221,6 @@ __all__ = [
     "CheckpointedSearch",
     "CheckpointedParetoSearch",
     "SearchCheckpoint",
-    # parallel evaluation
-    "BatchEvaluator",
-    "ParallelEvaluator",
-    "evaluate_batch",
     # multi-objective extension
     "ParetoIndividual",
     "ParetoResult",

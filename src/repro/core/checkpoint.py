@@ -42,6 +42,7 @@ import json
 from pathlib import Path
 from typing import Any
 
+from .appendlog import atomic_write
 from .engine import GAConfig, GenerationRecord, GeneticSearch
 from .errors import NautilusError
 from .evaluator import Evaluator
@@ -116,11 +117,7 @@ class SearchCheckpoint:
             "stalled": self.stalled,
             "guidance": self.guidance,
         }
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(path)  # atomic: a crash never leaves a torn checkpoint
+        atomic_write(path, json.dumps(payload))  # a crash never tears it
 
     @classmethod
     def load(cls, path: str | Path) -> "SearchCheckpoint":

@@ -32,8 +32,7 @@ layer preserves submission order and returns one outcome (a metrics dict or
 the exception the evaluation raised) per genome, so batch and serial paths
 are bit-identical — the engines rely on this for seeded reproducibility.
 
-Accounting invariant, kept for compatibility with the old
-:class:`~repro.core.evaluator.CountingEvaluator`::
+Accounting invariant::
 
     total_requests == distinct_evaluations + memo_hits
                       + persistent_hits + batch_dedup_hits
@@ -46,13 +45,13 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import json
 import threading
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterator, Sequence, TYPE_CHECKING
 
+from .appendlog import AppendLog, scan
 from .errors import InfeasibleDesignError, NautilusError
 from .fitness import Metrics
 from .genome import Genome
@@ -67,13 +66,15 @@ __all__ = [
     "EvaluationStack",
     "PersistentCache",
     "evaluator_fingerprint",
-    "run_backend_batch",
 ]
 
 #: An evaluation outcome: the metrics dict, or the exception the run raised.
 Outcome = Any
 
 _BACKENDS = ("auto", "inline", "thread", "process", "fleet")
+
+#: Keys every persistent-cache row carries; rows without them are skipped.
+_ROW_KEYS = ("values", "metrics")
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +189,9 @@ def evaluator_fingerprint(evaluator: Any) -> str:
 class _InlineBackend:
     """Run the inner evaluator directly, one design at a time.
 
-    When the inner evaluator exposes its own ``evaluate_many`` (a legacy
-    :class:`~repro.core.parallel.ParallelEvaluator`, say), the whole batch
-    is delegated so existing parallel evaluators keep their fan-out.
+    When the inner evaluator exposes its own ``evaluate_many`` (one that
+    farms a batch out itself), the whole batch is delegated so it keeps
+    its fan-out.
     """
 
     def __init__(self, inner: "Evaluator", delegate_batches: bool = True):
@@ -245,17 +246,6 @@ class _PoolBackend:
             return results
 
 
-def run_backend_batch(
-    evaluator: "Evaluator", genomes: Sequence[Genome]
-) -> list[Outcome]:
-    """Evaluate a batch through a bare inline backend (no caching layers).
-
-    This is the engine-room behind the legacy
-    :func:`repro.core.parallel.evaluate_batch` helper.
-    """
-    return _InlineBackend(evaluator).evaluate_many(genomes)
-
-
 # ---------------------------------------------------------------------------
 # mid-stack layers
 # ---------------------------------------------------------------------------
@@ -289,8 +279,7 @@ class _Batcher:
     """Coalesce duplicate keys within one batch; optionally chunk huge ones.
 
     Duplicates cost nothing extra — a generation that breeds the same
-    genome twice pays for one synthesis job, as the old
-    ``CountingEvaluator.evaluate_many`` guaranteed.
+    genome twice pays for one synthesis job.
     """
 
     def __init__(self, next_layer, counters: _Counters, batch_size: int | None = None):
@@ -439,9 +428,10 @@ class PersistentCache:
 
     ``metrics: null`` records an :class:`InfeasibleDesignError` — a failed
     synthesis attempt still consumed a job, and replaying it must fail the
-    same way. Rows are appended one line per ``write()`` call and a torn
-    trailing line (killed daemon) is skipped on load, so the cache survives
-    crashes without any locking protocol beyond append.
+    same way. Files are :class:`~repro.core.appendlog.AppendLog` logs: each
+    batch is one append, a torn row from a killed daemon is skipped on load
+    and fenced off before the next append, so the cache survives crashes
+    without any locking protocol beyond append.
 
     Thread safety: one lock guards the in-memory maps and file appends, so
     many campaign stacks in one scheduler can share a single instance.
@@ -470,29 +460,18 @@ class PersistentCache:
         rows = self._spaces.get(slot)
         if rows is not None:
             return rows
-        rows = {}
         path = self._path(space.name, fingerprint)
-        if path.exists():
-            with open(path, "r", encoding="utf-8") as fh:
-                header: dict | None = None
-                for line in fh:
-                    try:
-                        payload = json.loads(line)
-                    except ValueError:
-                        continue  # torn trailing line from a killed writer
-                    if header is None:
-                        header = payload
-                        if (
-                            header.get("space") != space.name
-                            or tuple(header.get("params", ())) != space.param_names
-                            or header.get("fingerprint") != fingerprint
-                        ):
-                            raise NautilusError(
-                                f"persistent cache {path} does not match space "
-                                f"{space.name!r} / fingerprint {fingerprint!r}"
-                            )
-                        continue
-                    rows[self._values_key(payload["values"])] = payload["metrics"]
+        header, payloads, _ = scan(path, header=True, require=_ROW_KEYS)
+        if header is not None and (
+            header.get("space") != space.name
+            or tuple(header.get("params", ())) != space.param_names
+            or header.get("fingerprint") != fingerprint
+        ):
+            raise NautilusError(
+                f"persistent cache {path} does not match space "
+                f"{space.name!r} / fingerprint {fingerprint!r}"
+            )
+        rows = {self._values_key(p["values"]): p["metrics"] for p in payloads}
         self._spaces[slot] = rows
         return rows
 
@@ -515,49 +494,32 @@ class PersistentCache:
         other exceptions (transient failures, setup bugs) are not — they
         must not poison future campaigns.
         """
-        written = 0
+        fresh: dict[str, tuple["DesignSpace", list[dict]]] = {}
         with self._lock:
-            fh = None
-            try:
-                for genome, outcome in outcomes:
-                    if isinstance(outcome, InfeasibleDesignError):
-                        metrics = None
-                    elif isinstance(outcome, Exception):
-                        continue
-                    else:
-                        metrics = dict(outcome)
-                    rows = self._load(genome.space, fingerprint)
-                    key = genome.key[1]
-                    if key in rows:
-                        continue
-                    if fh is None:
-                        path = self._path(genome.space.name, fingerprint)
-                        path.parent.mkdir(parents=True, exist_ok=True)
-                        fresh_file = not path.exists()
-                        fh = open(path, "a", encoding="utf-8")
-                        if fresh_file:
-                            fh.write(
-                                json.dumps(
-                                    {
-                                        "space": genome.space.name,
-                                        "params": list(genome.space.param_names),
-                                        "fingerprint": fingerprint,
-                                    }
-                                )
-                                + "\n"
-                            )
-                    rows[key] = metrics
-                    fh.write(
-                        json.dumps({"values": list(genome.key[1]), "metrics": metrics})
-                        + "\n"
-                    )
-                    written += 1
-                if fh is not None:
-                    fh.flush()
-            finally:
-                if fh is not None:
-                    fh.close()
-        return written
+            for genome, outcome in outcomes:
+                if isinstance(outcome, InfeasibleDesignError):
+                    metrics = None
+                elif isinstance(outcome, Exception):
+                    continue
+                else:
+                    metrics = dict(outcome)
+                rows = self._load(genome.space, fingerprint)
+                key = genome.key[1]
+                if key in rows:
+                    continue
+                rows[key] = metrics
+                fresh.setdefault(genome.space.name, (genome.space, []))[1].append(
+                    {"values": list(key), "metrics": metrics}
+                )
+            for space, batch in fresh.values():
+                header = {
+                    "space": space.name,
+                    "params": list(space.param_names),
+                    "fingerprint": fingerprint,
+                }
+                with AppendLog(self._path(space.name, fingerprint), header) as log:
+                    log.append(batch)
+        return sum(len(batch) for _, batch in fresh.values())
 
     def entries(self, space: "DesignSpace", fingerprint: str) -> int:
         """Number of cached rows for one (space, fingerprint)."""
@@ -582,45 +544,26 @@ class PersistentCache:
         with self._lock:
             paths = sorted(self.root.glob("*.jsonl")) if self.root.exists() else []
             for path in paths:
-                header: dict | None = None
-                rows: dict[tuple, Any] = {}
-                order: list[tuple] = []
-                dropped = 0
-                with open(path, "r", encoding="utf-8") as fh:
-                    for line in fh:
-                        try:
-                            payload = json.loads(line)
-                        except ValueError:
-                            dropped += 1  # torn line from a killed writer
-                            continue
-                        if header is None:
-                            header = payload
-                            continue
-                        try:
-                            key = self._values_key(payload["values"])
-                            payload["metrics"]
-                        except (KeyError, TypeError):
-                            dropped += 1
-                            continue
-                        if key in rows:
-                            dropped += 1  # superseded duplicate
-                        else:
-                            order.append(key)
-                        rows[key] = payload
+                header, payloads, dropped = scan(path, header=True, require=_ROW_KEYS)
                 if header is None:
                     continue  # empty or headerless file; nothing to keep
+                rows: dict[tuple, dict] = {}
+                for payload in payloads:
+                    try:
+                        key = self._values_key(payload["values"])
+                    except TypeError:
+                        dropped += 1
+                        continue
+                    if key in rows:
+                        dropped += 1  # superseded duplicate; keeps its slot
+                    rows[key] = payload
                 if dropped:
-                    tmp = path.with_suffix(path.suffix + ".tmp")
-                    with open(tmp, "w", encoding="utf-8") as out:
-                        out.write(json.dumps(header) + "\n")
-                        for key in order:
-                            out.write(json.dumps(rows[key]) + "\n")
-                    tmp.replace(path)
+                    AppendLog(path, header).rewrite(rows.values())
                 report["files"][path.name] = {
-                    "rows": len(order),
+                    "rows": len(rows),
                     "reclaimed": dropped,
                 }
-                report["rows"] += len(order)
+                report["rows"] += len(rows)
                 report["reclaimed"] += dropped
             self._spaces.clear()
         return report

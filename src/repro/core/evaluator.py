@@ -9,16 +9,13 @@ instrumentation, parallel backends) — lives in one layered pipeline,
 :class:`repro.core.evalstack.EvaluationStack`, which every engine run wraps
 around the underlying evaluator.
 
-Three base evaluators are provided:
+Two base evaluators are provided:
 
 * :class:`CallableEvaluator` — wraps any ``genome -> metrics`` function
   (e.g. the miniature synthesis flow driven by an IP generator).
 * :class:`DatasetEvaluator` — replays an offline-characterized dataset,
   mirroring the paper's methodology (Section 4.1: spaces were synthesized
   offline on a cluster, then searches ran against the datasets).
-* :class:`CountingEvaluator` — the historical memoizing/counting wrapper,
-  kept as a thin shim over :class:`EvaluationStack` for existing callers
-  (see ``docs/evaluation.md``).
 
 Infeasibility semantics are shared: evaluators raise
 :class:`~repro.core.errors.InfeasibleDesignError` for unbuildable points
@@ -27,7 +24,7 @@ and the engine turns that into ``-inf`` fitness.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence, TYPE_CHECKING
+from typing import Callable, Protocol, TYPE_CHECKING
 
 from .errors import DatasetError, InfeasibleDesignError
 from .fitness import Metrics
@@ -35,12 +32,10 @@ from .genome import Genome
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..dataset.dataset import Dataset
-    from .evalstack import EvalStats
 
 __all__ = [
     "Evaluator",
     "CallableEvaluator",
-    "CountingEvaluator",
     "DatasetEvaluator",
 ]
 
@@ -65,74 +60,6 @@ class CallableEvaluator:
 
     def evaluate(self, genome: Genome) -> Metrics:
         return self._fn(genome)
-
-
-class CountingEvaluator:
-    """Memoizing wrapper that counts distinct design evaluations.
-
-    This is the paper's cost model: the x-axes of Figures 4-7 are
-    "# Designs Evaluated", i.e. the number of synthesis jobs, and "the GA
-    revisits previously-synthesized results as it converges" without paying
-    again (Section 4.2). Infeasible results are cached too — a failed
-    synthesis attempt still consumed a job.
-
-    Since the evaluation-stack refactor this class is a thin shim over
-    :class:`repro.core.evalstack.EvaluationStack` (memo cache + inline
-    backend); the public API — ``evaluate``, ``evaluate_many``, ``seen``,
-    ``distinct_evaluations``, ``total_requests``, ``cache_hits`` — is
-    unchanged. New code should construct a stack directly.
-    """
-
-    def __init__(self, inner: Evaluator):
-        from .evalstack import EvaluationStack
-
-        self._inner = inner
-        self._stack = EvaluationStack(inner)
-
-    @property
-    def stack(self):
-        """The underlying :class:`EvaluationStack`."""
-        return self._stack
-
-    @property
-    def distinct_evaluations(self) -> int:
-        """Number of unique design points evaluated so far (synthesis jobs)."""
-        return self._stack.distinct_evaluations
-
-    @property
-    def total_requests(self) -> int:
-        """Number of evaluation requests, including cache hits."""
-        return self._stack.total_requests
-
-    @property
-    def cache_hits(self) -> int:
-        """Requests served from the cache."""
-        return self._stack.cache_hits
-
-    def stats(self) -> "EvalStats":
-        """The stack's full counter/timer snapshot."""
-        return self._stack.stats()
-
-    def evaluate(self, genome: Genome) -> Metrics:
-        """Evaluate one design, memoized. Cached failures re-raise fresh
-        copies (with the original as ``__cause__``) so revisiting an
-        infeasible design does not grow its traceback chain."""
-        return self._stack.evaluate(genome)
-
-    def seen(self, genome: Genome) -> bool:
-        """Whether this design point has already been evaluated."""
-        return self._stack.seen(genome)
-
-    def evaluate_many(self, genomes: Sequence[Genome]) -> list:
-        """Evaluate a batch, exploiting the inner evaluator's parallelism.
-
-        Duplicates within the batch and already-cached designs are served
-        from the cache; only genuinely new designs reach the inner
-        evaluator — all at once via its ``evaluate_many`` when it has one
-        (see :class:`repro.core.parallel.ParallelEvaluator`). Returns one
-        metrics dict or exception per genome, in order.
-        """
-        return self._stack.evaluate_many(genomes)
 
 
 class DatasetEvaluator:

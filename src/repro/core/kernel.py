@@ -36,7 +36,6 @@ engines only declare their operator pipeline and survivor rule.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
@@ -49,6 +48,7 @@ from ..obs.attribution import summarize_generation
 from ..obs.clock import DEFAULT_CLOCK
 from ..obs.health import population_health
 from ..obs.tracing import SpanRecorder
+from .appendlog import AppendLog, scan
 from .errors import NautilusError
 from .evalstack import EvalStats, EvaluationStack
 from .fitness import Objective
@@ -146,30 +146,24 @@ class RecordingTraceSink(TraceSink):
 class JsonlTraceSink(TraceSink):
     """Appends one JSON line per event — the service's per-campaign log.
 
-    The file is opened lazily and appended to (a resumed campaign continues
-    the log it left behind); every line is flushed so a killed daemon loses
-    at most the event being written.
+    An :class:`~repro.core.appendlog.AppendLog`, opened lazily and appended
+    to (a resumed campaign continues the log it left behind, after fencing
+    off any torn final line); every event is written through at once, so a
+    killed daemon loses at most the event being written.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._handle = None
+        self._log = AppendLog(self.path)
         self._closed = False
 
     def emit(self, event: RunEvent) -> None:
-        if self._closed:
-            return
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
-        self._handle.write(json.dumps(event.as_dict()) + "\n")
-        self._handle.flush()
+        if not self._closed:
+            self._log.append([event.as_dict()])
 
     def close(self) -> None:
         self._closed = True
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._log.close()
 
 
 class CappedJsonlTraceSink(JsonlTraceSink):
@@ -203,67 +197,38 @@ class CappedJsonlTraceSink(JsonlTraceSink):
         if self._closed:
             return
         if self._lines is None:
-            self._lines = self._count_existing()
+            existing = scan(self.path)
+            self._lines = len(existing.rows) + existing.skipped
         super().emit(event)
         self._lines += 1
         if self._lines > self.max_events + self._slack:
             self._compact()
 
-    def _count_existing(self) -> int:
-        try:
-            with self.path.open("r", encoding="utf-8") as handle:
-                return sum(1 for _ in handle)
-        except FileNotFoundError:
-            return 0
-
     def _compact(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
         rows = []
         prior_dropped = 0
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            try:
-                payload = json.loads(line)
-            except ValueError:
-                continue  # torn final line from a killed writer
+        for payload in scan(self.path).rows:
             if payload.get("kind") == self.MARKER_KIND:
                 prior_dropped += int(payload.get("dropped", 0))
-                continue
-            rows.append(line)
+            else:
+                rows.append(payload)
         head_n = self.max_events // 2
-        tail_n = self.max_events - head_n
-        if len(rows) <= head_n + tail_n:
+        head = rows[:head_n]
+        if len(rows) <= self.max_events:
             # Nothing new to drop (e.g. torn lines inflated the count);
-            # keep what we have, preserving any accumulated marker.
-            if prior_dropped:
-                marker = json.dumps(
-                    {"kind": self.MARKER_KIND, "generation": 0,
-                     "dropped": prior_dropped}
-                )
-                rows = [*rows[:head_n], marker, *rows[head_n:]]
-            self._lines = len(rows)
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            tmp.write_text("\n".join(rows) + "\n", encoding="utf-8")
-            tmp.replace(self.path)
-            return
-        head, tail = rows[:head_n], rows[len(rows) - tail_n:]
-        dropped = prior_dropped + max(len(rows) - len(head) - len(tail), 0)
-        try:
-            marker_generation = json.loads(tail[0]).get("generation", 0)
-        except (ValueError, IndexError):
-            marker_generation = 0
-        marker = json.dumps(
-            {
-                "kind": self.MARKER_KIND,
-                "generation": marker_generation,
-                "dropped": dropped,
-            }
+            # keep every row, preserving any accumulated marker.
+            tail, generation = rows[head_n:], 0
+        else:
+            tail = rows[len(rows) - (self.max_events - head_n):]
+            generation = tail[0].get("generation", 0)
+        dropped = prior_dropped + len(rows) - len(head) - len(tail)
+        marker = (
+            [{"kind": self.MARKER_KIND, "generation": generation, "dropped": dropped}]
+            if dropped
+            else []
         )
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text("\n".join([*head, marker, *tail]) + "\n", encoding="utf-8")
-        tmp.replace(self.path)
-        self._lines = len(head) + 1 + len(tail)
+        self._log.rewrite([*head, *marker, *tail])
+        self._lines = len(head) + len(marker) + len(tail)
 
 
 class RunTrace:

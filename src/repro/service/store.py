@@ -11,8 +11,12 @@ Layout, one directory per campaign under the store root::
         spans.jsonl      # span tree (tracing campaigns), one span per line
         result.json      # final curve + best design, once terminal
 
-Every write goes through a temp-file + ``rename`` so a killed daemon never
-leaves a torn file; the checkpoint reuses the exact
+Snapshot files are replaced whole through
+:func:`~repro.core.appendlog.atomic_write` (temp file + ``rename``), so a
+killed daemon never leaves a torn one. The two logs are
+:class:`~repro.core.appendlog.AppendLog` files: a torn final line is
+skipped on read and fenced off before the next append, so a killed daemon
+loses at most the line being written. The checkpoint reuses the exact
 :class:`~repro.core.checkpoint.SearchCheckpoint` format, which carries the
 evaluation cache — the expensive part of a half-finished campaign.
 """
@@ -25,16 +29,10 @@ from pathlib import Path
 from typing import Any
 
 from ..core import NautilusError
+from ..core.appendlog import AppendLog, atomic_write, scan
 from .campaign import Campaign, CampaignSpec, CampaignState
 
 __all__ = ["CampaignStore"]
-
-
-def _write_atomic(path: Path, payload: Any) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=1))
-    tmp.replace(path)
 
 
 class CampaignStore:
@@ -68,7 +66,7 @@ class CampaignStore:
             campaign_id = self._next_id()
             directory = self.campaign_dir(campaign_id)
             directory.mkdir(parents=True)
-        _write_atomic(directory / "spec.json", spec.to_json())
+        atomic_write(directory / "spec.json", json.dumps(spec.to_json(), indent=1))
         campaign = Campaign(id=campaign_id, spec=spec)
         self.save_status(campaign)
         return campaign
@@ -81,13 +79,15 @@ class CampaignStore:
             "generations_done": campaign.generations_done,
             "records": campaign.curve_payload(),
         }
-        _write_atomic(self.campaign_dir(campaign.id) / "status.json", payload)
+        path = self.campaign_dir(campaign.id) / "status.json"
+        atomic_write(path, json.dumps(payload, indent=1))
 
     def save_result(self, campaign: Campaign) -> None:
         """Persist the terminal outcome next to the status."""
         payload = campaign.status_payload()
         payload["curve"] = campaign.curve_payload()
-        _write_atomic(self.campaign_dir(campaign.id) / "result.json", payload)
+        path = self.campaign_dir(campaign.id) / "result.json"
+        atomic_write(path, json.dumps(payload, indent=1))
 
     # -- load -------------------------------------------------------------------
 
@@ -134,21 +134,10 @@ class CampaignStore:
     ) -> list[dict[str, Any]]:
         """Read a campaign's RunEvent log; ``limit`` keeps the last N.
 
-        Torn trailing lines (a daemon killed mid-write) are skipped — the
-        sink flushes per event, so at most the final line can be partial.
+        Torn lines (a daemon killed mid-write) are skipped — the sink
+        writes each event through, so only the event being written is lost.
         """
-        path = self.events_path(campaign_id)
-        if not path.exists():
-            return []
-        events = []
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
+        events = scan(self.events_path(campaign_id)).rows
         if limit is not None and limit >= 0:
             return events[len(events) - limit :] if limit else []
         return events
@@ -170,27 +159,9 @@ class CampaignStore:
         stepped. A resumed campaign starts a fresh trace id — the log then
         holds one span tree per daemon incarnation.
         """
-        if not spans:
-            return
-        path = self.spans_path(campaign_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a") as handle:
-            for span in spans:
-                handle.write(json.dumps(span) + "\n")
-            handle.flush()
+        with AppendLog(self.spans_path(campaign_id)) as log:
+            log.append(spans)
 
     def load_spans(self, campaign_id: str) -> list[dict[str, Any]]:
         """Read a campaign's persisted span log (torn tail lines skipped)."""
-        path = self.spans_path(campaign_id)
-        if not path.exists():
-            return []
-        spans = []
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                spans.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-        return spans
+        return scan(self.spans_path(campaign_id)).rows

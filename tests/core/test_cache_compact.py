@@ -76,6 +76,11 @@ class TestCompact:
         (path,) = tmp_path.glob("*.jsonl")
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps({"novalues": True}) + "\n")
+        # A row that parses but lacks values/metrics is skipped on load,
+        # not raised: the cache stays usable before any compaction.
+        fresh = PersistentCache(tmp_path)
+        assert fresh.get(space.genome({"a": 1}), FP) == (True, {"m": 1.0})
+        assert fresh.entries(space, FP) == 1
         assert PersistentCache(tmp_path).compact()["reclaimed"] == 1
 
     def test_infeasible_rows_survive(self, tmp_path, space):

@@ -5,8 +5,8 @@ import pytest
 from repro.core import (
     CallableEvaluator,
     ChoiceParam,
-    CountingEvaluator,
     DesignSpace,
+    EvaluationStack,
     InfeasibleDesignError,
     IntParam,
     estimate_hints,
@@ -62,7 +62,7 @@ class TestEstimation:
             assert hints.params["cat"].bias == 0.0
 
     def test_budget_respected(self, monotone_space, monotone_evaluator):
-        counter = CountingEvaluator(monotone_evaluator)
+        counter = EvaluationStack(monotone_evaluator)
         __, used = estimate_hints(
             monotone_space, counter, maximize("m"), budget=25, seed=1
         )

@@ -1,4 +1,4 @@
-"""Tests for parallel/batched fitness evaluation."""
+"""Tests for parallel/batched fitness evaluation through EvaluationStack."""
 
 import threading
 import time
@@ -7,15 +7,13 @@ import pytest
 
 from repro.core import (
     CallableEvaluator,
-    CountingEvaluator,
     DesignSpace,
+    EvaluationStack,
     GAConfig,
     GeneticSearch,
     InfeasibleDesignError,
     IntParam,
     NautilusError,
-    ParallelEvaluator,
-    evaluate_batch,
     maximize,
 )
 
@@ -41,9 +39,11 @@ def evaluator():
 
 
 class TestEvaluateBatch:
+    """One batch through an inline stack over a plain evaluator."""
+
     def test_sequential_fallback(self, space, evaluator):
         genomes = [space.genome(a=i) for i in range(5)]
-        results = evaluate_batch(evaluator, genomes)
+        results = EvaluationStack(evaluator, backend="inline").evaluate_many(genomes)
         assert [r["m"] for r in results] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_exceptions_in_place(self, space):
@@ -52,14 +52,17 @@ class TestEvaluateBatch:
                 raise InfeasibleDesignError("hole")
             return {"m": 1.0}
 
-        results = evaluate_batch(CallableEvaluator(fn), [space.genome(a=i) for i in range(4)])
+        stack = EvaluationStack(CallableEvaluator(fn), backend="inline")
+        results = stack.evaluate_many([space.genome(a=i) for i in range(4)])
         assert isinstance(results[2], InfeasibleDesignError)
         assert results[0] == {"m": 1.0}
 
 
 class TestParallelEvaluator:
+    """The stack's thread and process pool backends."""
+
     def test_order_preserved(self, space, evaluator):
-        parallel = ParallelEvaluator(evaluator, workers=4)
+        parallel = EvaluationStack(evaluator, backend="thread", workers=4)
         genomes = [space.genome(a=i) for i in range(20)]
         results = parallel.evaluate_many(genomes)
         assert [r["m"] for r in results] == [float(i) for i in range(20)]
@@ -79,12 +82,12 @@ class TestParallelEvaluator:
                 active -= 1
             return {"m": 1.0}
 
-        parallel = ParallelEvaluator(CallableEvaluator(slow), workers=8)
+        parallel = EvaluationStack(CallableEvaluator(slow), backend="thread", workers=8)
         parallel.evaluate_many([space.genome(a=i) for i in range(16)])
         assert peak > 1  # overlapping evaluations observed
 
     def test_single_passthrough(self, space, evaluator):
-        parallel = ParallelEvaluator(evaluator)
+        parallel = EvaluationStack(evaluator, backend="thread", workers=4)
         assert parallel.evaluate(space.genome(a=3)) == {"m": 3.0}
 
     def test_exception_isolation(self, space):
@@ -93,19 +96,19 @@ class TestParallelEvaluator:
                 raise InfeasibleDesignError("odd")
             return {"m": float(genome["a"])}
 
-        parallel = ParallelEvaluator(CallableEvaluator(fn), workers=4)
+        parallel = EvaluationStack(CallableEvaluator(fn), backend="thread", workers=4)
         results = parallel.evaluate_many([space.genome(a=i) for i in range(6)])
         assert results[0] == {"m": 0.0}
         assert isinstance(results[1], InfeasibleDesignError)
         assert results[4] == {"m": 4.0}
 
     def test_empty_batch(self, space, evaluator):
-        assert ParallelEvaluator(evaluator).evaluate_many([]) == []
+        assert EvaluationStack(evaluator, backend="thread").evaluate_many([]) == []
 
     def test_process_pool_exception_isolation(self, space):
         """One infeasible design must not poison its batch — under a real
         process pool, where exceptions cross a pickling boundary."""
-        parallel = ParallelEvaluator(ParityEvaluator(), workers=2, kind="process")
+        parallel = EvaluationStack(ParityEvaluator(), backend="process", workers=2)
         results = parallel.evaluate_many([space.genome(a=i) for i in range(8)])
         for i, outcome in enumerate(results):
             if i % 2:
@@ -114,21 +117,23 @@ class TestParallelEvaluator:
                 assert outcome == {"m": float(i)}
 
     def test_process_pool_preserves_submission_order(self, space):
-        parallel = ParallelEvaluator(ParityEvaluator(), workers=4, kind="process")
+        parallel = EvaluationStack(ParityEvaluator(), backend="process", workers=4)
         genomes = [space.genome(a=2 * (i % 16)) for i in range(32)]
         results = parallel.evaluate_many(genomes)
         assert [r["m"] for r in results] == [float(2 * (i % 16)) for i in range(32)]
 
     def test_validation(self, evaluator):
         with pytest.raises(NautilusError):
-            ParallelEvaluator(evaluator, workers=0)
+            EvaluationStack(evaluator, backend="thread", workers=0)
         with pytest.raises(NautilusError):
-            ParallelEvaluator(evaluator, kind="gpu")
+            EvaluationStack(evaluator, backend="gpu")
 
 
 class TestCountingBatch:
+    """Distinct-design accounting across batches."""
+
     def test_distinct_accounting(self, space, evaluator):
-        counter = CountingEvaluator(evaluator)
+        counter = EvaluationStack(evaluator)
         genomes = [space.genome(a=i % 3) for i in range(9)]  # 3 distinct
         counter.evaluate_many(genomes)
         assert counter.distinct_evaluations == 3
@@ -138,7 +143,7 @@ class TestCountingBatch:
         assert counter.distinct_evaluations == 3
 
     def test_mixed_with_sequential(self, space, evaluator):
-        counter = CountingEvaluator(evaluator)
+        counter = EvaluationStack(evaluator)
         counter.evaluate(space.genome(a=1))
         counter.evaluate_many([space.genome(a=1), space.genome(a=2)])
         assert counter.distinct_evaluations == 2
@@ -152,7 +157,7 @@ class TestEngineEquivalence:
         serial = GeneticSearch(space, evaluator, objective, config).run()
         parallel = GeneticSearch(
             space,
-            ParallelEvaluator(evaluator, workers=4),
+            EvaluationStack(evaluator, backend="thread", workers=4),
             objective,
             config,
         ).run()

@@ -6,12 +6,12 @@ from repro.core import (
     CallableEvaluator,
     DesignSpace,
     EvaluationError,
+    EvaluationStack,
     GAConfig,
     GeneticSearch,
     InfeasibleDesignError,
     IntParam,
     NautilusError,
-    ParallelEvaluator,
     RandomSearch,
     maximize,
 )
@@ -52,7 +52,7 @@ class TestFailureInjection:
         def fn(genome):
             raise RuntimeError("node crashed")
 
-        parallel = ParallelEvaluator(CallableEvaluator(fn), workers=2)
+        parallel = EvaluationStack(CallableEvaluator(fn), backend="thread", workers=2)
         results = parallel.evaluate_many([space.genome(a=1)])
         assert isinstance(results[0], RuntimeError)
         # And the engine re-raises it rather than swallowing.

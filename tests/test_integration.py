@@ -9,8 +9,8 @@ import pytest
 
 from repro.core import (
     CallableEvaluator,
-    CountingEvaluator,
     DesignSpace,
+    EvaluationStack,
     GAConfig,
     GeneticSearch,
     HintSet,
@@ -138,7 +138,7 @@ class TestPaperWorkflowOnRealSubstrate:
         ).run()
         live = GeneticSearch(
             noc_dataset.space,
-            CountingEvaluator(RouterEvaluator()),
+            EvaluationStack(RouterEvaluator()),
             objective,
             config,
         ).run()
